@@ -9,17 +9,21 @@
 //!   Accuracy must be bit-identical across the cell's `iters`
 //!   repetitions (everything is seeded), so a drift across iterations
 //!   is reported as an error, not averaged away.
-//! * **math** — the `bench_math` methodology (min over repetitions of
-//!   K back-to-back calls / K) for one kernel × shape, scalar path vs
-//!   the runtime-dispatched one.
-//! * **serve** — a closed-loop load leg against a freshly started
-//!   forecast server per iteration: throughput and client-side latency
-//!   percentiles.
+//! * **math** — one kernel × shape, scalar path vs the
+//!   runtime-dispatched one, as the min over repetitions of K
+//!   back-to-back calls / K; the whole-call kernels (`par_gemm`, `acf`)
+//!   time one call of the reference and the fast path instead.
+//! * **serve** — closed-loop load legs against freshly started forecast
+//!   servers, all driven by one load generator: throughput, client-side
+//!   latency percentiles and, with the recorder armed, the leg's batch,
+//!   steal and per-phase deltas; plus the legacy-coalescer, fleet,
+//!   recorder-overhead and quality legs.
 //!
 //! Every engine returns plain [`MeasurementRow`]s; recording, manifest
 //! assembly and history appends live in [`crate::harness`].
 
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::measure::measurement;
@@ -28,11 +32,16 @@ use tfb_core::eval::{evaluate, EvalSettings, Strategy};
 use tfb_core::method::{build_method, Method};
 use tfb_core::Metric;
 use tfb_data::{MultiSeries, Normalization};
+use tfb_math::acf::{acf, acf_fft};
 use tfb_math::kernel::{self, KernelPath};
+use tfb_math::matrix::Matrix;
 use tfb_models::tabular::iterate_one_step;
 use tfb_models::{LinearRegressionForecaster, ModelError, WindowForecaster};
 use tfb_nn::TrainConfig;
+use tfb_obs::manifest::percentile;
+use tfb_obs::trace::PhaseBuckets;
 use tfb_obs::MeasurementRow;
+use tfb_serve::{serve, serve_fleet, CoalescerConfig, ObserveConfig, ServerConfig, ServerHandle};
 
 /// Executes one cell under its suite's engine.
 pub fn run_cell(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
@@ -40,6 +49,27 @@ pub fn run_cell(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, Strin
         Engine::Eval => run_eval(suite, cell),
         Engine::Math => run_math(suite, cell),
         Engine::Serve => run_serve(suite, cell),
+    }
+}
+
+/// Per-quantity samples over a cell's iterations, in first-seen order.
+#[derive(Default)]
+struct Samples(Vec<(String, &'static str, Vec<f64>)>);
+
+impl Samples {
+    fn push(&mut self, quantity: impl Into<String>, unit: &'static str, value: f64) {
+        let quantity = quantity.into();
+        match self.0.iter_mut().find(|(q, _, _)| *q == quantity) {
+            Some((_, _, values)) => values.push(value),
+            None => self.0.push((quantity, unit, vec![value])),
+        }
+    }
+
+    fn rows(&self, suite: &Suite, cell: &Cell) -> Vec<MeasurementRow> {
+        self.0
+            .iter()
+            .map(|(quantity, unit, values)| measurement(suite, cell, quantity, unit, values))
+            .collect()
     }
 }
 
@@ -141,9 +171,11 @@ fn run_eval(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
             cell.id, cell.normalization
         )
     })?;
-    settings.batch_inference = match cell.inference.as_str() {
-        "batched" => true,
-        "sequential" => false,
+    // `sequential` is the whole reference path: one `predict` per window
+    // and statistical boundaries on one thread.
+    (settings.batch_inference, settings.window_parallelism) = match cell.inference.as_str() {
+        "batched" => (true, 0),
+        "sequential" => (false, 1),
         other => {
             return Err(format!(
                 "{}: unknown inference {other:?} (batched|sequential)",
@@ -213,15 +245,21 @@ fn time_ns(reps: usize, calls: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// One xorshift64 step.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
 /// Deterministic pseudo-random data (xorshift), optionally with exact
 /// zeros mixed in for the zero-skip kernels.
 fn data(n: usize, seed: u64, zeros: bool) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..n)
         .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
+            xorshift(&mut state);
             if zeros && state.is_multiple_of(7) {
                 0.0
             } else {
@@ -231,10 +269,78 @@ fn data(n: usize, seed: u64, zeros: bool) -> Vec<f64> {
         .collect()
 }
 
+/// Times one whole call of `reference` and of `fast` per iteration —
+/// for kernels far too slow for the K-call sampler. The fast path must
+/// reproduce the reference within `tol` before its time counts.
+fn time_whole_calls(
+    suite: &Suite,
+    cell: &Cell,
+    names: [&str; 2],
+    tol: f64,
+    reference: impl Fn() -> Vec<f64>,
+    fast: impl Fn() -> Vec<f64>,
+) -> Result<Vec<MeasurementRow>, String> {
+    let mut samples = Samples::default();
+    for _ in 0..cell.iters {
+        let t0 = Instant::now();
+        let want = black_box(reference());
+        let reference_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        let got = black_box(fast());
+        let fast_ms = t1.elapsed().as_secs_f64() * 1e3;
+        if want.len() != got.len() || want.iter().zip(&got).any(|(w, g)| (w - g).abs() > tol) {
+            return Err(format!(
+                "{}: {} diverged from {}",
+                cell.id, names[1], names[0]
+            ));
+        }
+        samples.push(names[0], "ms", reference_ms);
+        samples.push(names[1], "ms", fast_ms);
+        samples.push("speedup", "x", reference_ms / fast_ms.max(1e-9));
+    }
+    Ok(samples.rows(suite, cell))
+}
+
 fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
     let n = cell.n;
     let depth = cell.depth;
     let run: Box<dyn Fn() -> f64> = match cell.workload.as_str() {
+        // n x n GEMM, single-threaded vs row blocks across threads: the
+        // same kernel either way, so the product must match bit for bit.
+        "par_gemm" => {
+            let matrix = |seed| {
+                Matrix::from_vec(n, n, data(n * n, seed, false))
+                    .map_err(|e| format!("{}: {e}", cell.id))
+            };
+            let (a, b) = (matrix(0x1234_5678)?, matrix(0x9abc_def0)?);
+            let product = |m: tfb_math::Result<Matrix>| {
+                m.expect("n x n operands always conform").data().to_vec()
+            };
+            return time_whole_calls(
+                suite,
+                cell,
+                ["single", "parallel"],
+                0.0,
+                || product(a.matmul(&b)),
+                || product(a.par_matmul(&b)),
+            );
+        }
+        // Full-lag autocorrelation, direct O(n²) vs FFT O(n log n): a
+        // different summation order, so equal to 1e-9 rather than bits.
+        "acf" => {
+            let xs: Vec<f64> = (0..n)
+                .map(|t| (t as f64 / 37.0).sin() + 0.0005 * t as f64)
+                .collect();
+            let lags = n.saturating_sub(1);
+            return time_whole_calls(
+                suite,
+                cell,
+                ["direct", "fft"],
+                1e-9,
+                || acf(&xs, lags),
+                || acf_fft(&xs, lags),
+            );
+        }
         "dot" => {
             let x = data(n, n as u64 + 1, true);
             let y = data(n, n as u64 + 2, false);
@@ -266,7 +372,7 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
         }
         other => {
             return Err(format!(
-                "{}: unknown math workload {other:?} (dot|dot_skip|axpy|gemm)",
+                "{}: unknown math workload {other:?} (dot|dot_skip|axpy|gemm|par_gemm|acf)",
                 cell.id
             ))
         }
@@ -281,9 +387,7 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
     });
     let calls = ((200_000.0 / est.max(1.0)) as usize).clamp(8, 100_000);
     let best = kernel::best_unrolled();
-    let mut scalar_ns = Vec::with_capacity(cell.iters);
-    let mut fast_ns = Vec::with_capacity(cell.iters);
-    let mut speedup = Vec::with_capacity(cell.iters);
+    let mut samples = Samples::default();
     for _ in 0..cell.iters {
         let s = kernel::with_path(KernelPath::Scalar, || {
             time_ns(3, calls, || {
@@ -295,20 +399,16 @@ fn run_math(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
                 let _ = black_box(run());
             })
         });
-        scalar_ns.push(s);
-        fast_ns.push(f);
-        speedup.push(s / f.max(1e-9));
+        samples.push("scalar", "ns", s);
+        samples.push("unrolled", "ns", f);
+        samples.push("speedup", "x", s / f.max(1e-9));
     }
-    Ok(vec![
-        measurement(suite, cell, "scalar", "ns", &scalar_ns),
-        measurement(suite, cell, "unrolled", "ns", &fast_ns),
-        measurement(suite, cell, "speedup", "x", &speedup),
-    ])
+    Ok(samples.rows(suite, cell))
 }
 
 // ---------------------------------------------------------------------
-// Serve engine: a compact closed-loop leg (the full instrumented sweep
-// stays in `bench_serve`; the harness needs a comparable, fast cell).
+// Serve engine: closed-loop load legs against freshly started servers,
+// all driven by one load generator (`drive`).
 // ---------------------------------------------------------------------
 
 const SERVE_LOOKBACK: usize = 24;
@@ -342,13 +442,41 @@ fn train_serve_model() -> Result<tfb_artifact::ServableModel, String> {
         .map_err(|e| format!("serve engine: artifact not servable: {e}"))
 }
 
-/// Nearest-rank percentile of an already-sorted slice.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
+/// A server on an ephemeral port with the cell's shard count and every
+/// other knob at its default.
+fn server_config(cell: &Cell) -> ServerConfig {
+    ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        coalescer: CoalescerConfig {
+            shards: cell.shards,
+            ..CoalescerConfig::default()
+        },
+        ..ServerConfig::default()
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+}
+
+/// An HTTP/1.1 `POST` of a JSON body, as the load clients send it.
+fn post(path: &str, json: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{json}",
+        json.len()
+    )
+}
+
+/// The `{"window": [...]}` body every serve cell posts; `observed` adds
+/// `"series"`/`"t"`, which parks the served forecast for a later
+/// `/v1/observe` join.
+fn forecast_body(dim: usize, observed: Option<(&str, u64)>) -> String {
+    use tfb_json::JsonValue;
+    let window = (0..SERVE_LOOKBACK * dim)
+        .map(|i| JsonValue::Number((i as f64) * 0.13 - 2.0))
+        .collect();
+    let mut fields = vec![("window".to_string(), JsonValue::Array(window))];
+    if let Some((series, t)) = observed {
+        fields.push(("series".to_string(), JsonValue::from(series)));
+        fields.push(("t".to_string(), JsonValue::Number(t as f64)));
+    }
+    JsonValue::Object(fields).compact()
 }
 
 /// One request/reply round trip on a kept-alive connection; returns the
@@ -406,27 +534,42 @@ fn connect(
     Ok((writer, std::io::BufReader::new(stream)))
 }
 
-/// One closed-loop client on a keep-alive connection; returns latencies
-/// in microseconds.
+/// One closed-loop client on a keep-alive connection: draws each next
+/// request from `requests` by the cumulative distribution `cdf` (seeded
+/// xorshift, so the traffic is reproducible) and sends it the moment the
+/// previous reply lands. Returns latencies in µs and the shed (429)
+/// count.
 fn client_loop(
     addr: std::net::SocketAddr,
-    request: &str,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<Vec<f64>, String> {
-    use std::sync::atomic::Ordering;
+    requests: &[String],
+    cdf: &[f64],
+    seed: u64,
+    stop: &AtomicBool,
+) -> Result<(Vec<f64>, u64), String> {
     let (mut writer, mut reader) = connect(addr)?;
-    let mut latencies = Vec::new();
+    let (mut latencies, mut shed) = (Vec::new(), 0);
     let mut line = String::new();
     let mut body = Vec::new();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     while !stop.load(Ordering::Relaxed) {
+        let u = (xorshift(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+        let idx = cdf.partition_point(|&c| c < u).min(requests.len() - 1);
         let t0 = Instant::now();
-        let status = round_trip(&mut writer, &mut reader, request, &mut line, &mut body)?;
+        let status = round_trip(
+            &mut writer,
+            &mut reader,
+            &requests[idx],
+            &mut line,
+            &mut body,
+        )?;
         latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-        if status != 200 && status != 429 {
-            return Err(format!("unexpected status {status} under closed-loop load"));
+        match status {
+            200 => {}
+            429 => shed += 1,
+            other => return Err(format!("unexpected status {other} under closed-loop load")),
         }
     }
-    Ok(latencies)
+    Ok((latencies, shed))
 }
 
 /// Cumulative zipfian distribution over `n` ranks (`P(i) ∝ 1/(i+1)^α`)
@@ -445,142 +588,160 @@ fn zipf_cdf(n: usize, alpha: f64) -> Vec<f64> {
         .collect()
 }
 
-/// One closed-loop client that samples its next model zipfian-style
-/// (seeded xorshift, so the workload is reproducible) and posts to that
-/// model's routed endpoint.
-fn fleet_client_loop(
-    addr: std::net::SocketAddr,
+/// What one closed-loop leg measured: client-side latencies and shed
+/// replies, the server's steal count, and — when the recorder is armed
+/// — its view of the leg: the batch-size histogram and the mean time
+/// per request phase.
+struct Leg {
+    /// Ascending.
+    latencies_us: Vec<f64>,
+    shed: u64,
+    elapsed_s: f64,
+    steals: u64,
+    batch: Option<tfb_obs::HistSummary>,
+    phase_means_us: Vec<(String, f64)>,
+}
+
+impl Leg {
+    fn throughput(&self) -> f64 {
+        self.latencies_us.len() as f64 / self.elapsed_s.max(1e-9)
+    }
+
+    /// The rows every load leg reports.
+    fn record(&self, samples: &mut Samples) {
+        samples.push("throughput", "req/s", self.throughput());
+        samples.push("latency_p50", "us", percentile(&self.latencies_us, 50.0));
+        samples.push("latency_p99", "us", percentile(&self.latencies_us, 99.0));
+        samples.push("requests", "count", self.latencies_us.len() as f64);
+        samples.push("shed", "count", self.shed as f64);
+        samples.push("steals", "count", self.steals as f64);
+        if let Some(b) = &self.batch {
+            samples.push("batch_mean", "rows", b.mean);
+            samples.push("batch_max", "rows", b.max);
+        }
+        // Server-side attribution of a request's mean time (parse /
+        // queue / collect / infer / dispatch / write, plus the total).
+        // No per-phase p99: the phase histograms' buckets step 2–2.5x,
+        // coarser than any tolerance a gate could hold them to; the
+        // client-side `latency_p99` is exact.
+        for (phase, mean_us) in &self.phase_means_us {
+            samples.push(format!("phase_{phase}_mean"), "us", *mean_us);
+        }
+    }
+}
+
+/// Mean µs per request of every phase recorded between two trace
+/// snapshots (count and sum are running totals, so they subtract).
+fn phase_means_us(before: &[PhaseBuckets], after: Vec<PhaseBuckets>) -> Vec<(String, f64)> {
+    after
+        .into_iter()
+        .filter_map(|a| {
+            let (count, sum_s) = match before.iter().find(|b| b.phase == a.phase) {
+                Some(b) => (a.count.saturating_sub(b.count), a.sum_s - b.sum_s),
+                None => (a.count, a.sum_s),
+            };
+            (count > 0).then(|| (a.phase, sum_s / count as f64 * 1e6))
+        })
+        .collect()
+}
+
+/// The one load generator: `cell.clients` closed-loop clients against
+/// `handle`'s server for `cell.duration_ms`. Client `c` draws requests
+/// by `cdf` with seed `seed + c`; a `cdf` of `[1.0]` always sends
+/// `requests[0]`. The server keeps running; the caller shuts it down.
+fn drive(
+    cell: &Cell,
+    handle: &ServerHandle,
     requests: &[String],
     cdf: &[f64],
     seed: u64,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<Vec<f64>, String> {
-    use std::sync::atomic::Ordering;
-    let (mut writer, mut reader) = connect(addr)?;
-    let mut latencies = Vec::new();
-    let mut line = String::new();
-    let mut body = Vec::new();
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    while !stop.load(Ordering::Relaxed) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-        let idx = cdf.partition_point(|&c| c < u).min(requests.len() - 1);
-        let t0 = Instant::now();
-        let status = round_trip(
-            &mut writer,
-            &mut reader,
-            &requests[idx],
-            &mut line,
-            &mut body,
-        )?;
-        latencies.push(t0.elapsed().as_secs_f64() * 1e6);
-        if status != 200 && status != 429 {
-            return Err(format!("unexpected status {status} under fleet load"));
+) -> Result<Leg, String> {
+    let addr = handle.addr();
+    tfb_obs::reset_histogram("serve/batch_size");
+    let phases_before = tfb_obs::trace::snapshot().phases;
+    let stop = AtomicBool::new(false);
+    let (mut latencies_us, mut shed) = (Vec::new(), 0);
+    let t0 = Instant::now();
+    std::thread::scope(|scope| -> Result<(), String> {
+        let stop = &stop;
+        let workers: Vec<_> = (0..cell.clients.max(1) as u64)
+            .map(|c| scope.spawn(move || client_loop(addr, requests, cdf, seed + c, stop)))
+            .collect();
+        std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
+        stop.store(true, Ordering::Relaxed);
+        for w in workers {
+            let (lat, s) = w.join().map_err(|_| "client thread panicked")??;
+            latencies_us.extend(lat);
+            shed += s;
         }
-    }
-    Ok(latencies)
+        Ok(())
+    })
+    .map_err(|e| format!("{}: {e}", cell.id))?;
+    let elapsed_s = t0.elapsed().as_secs_f64();
+    latencies_us.sort_by(f64::total_cmp);
+    let batch = tfb_obs::metrics_snapshot()
+        .histograms
+        .into_iter()
+        .find(|h| h.name == "serve/batch_size");
+    Ok(Leg {
+        latencies_us,
+        shed,
+        elapsed_s,
+        steals: handle.steal_count(),
+        batch,
+        phase_means_us: phase_means_us(&phases_before, tfb_obs::trace::snapshot().phases),
+    })
 }
 
-/// The `{"window": [...]}` request body every serve cell posts.
-fn forecast_body(dim: usize) -> String {
-    let window: Vec<f64> = (0..SERVE_LOOKBACK * dim)
-        .map(|i| (i as f64) * 0.13 - 2.0)
-        .collect();
-    tfb_json::JsonValue::Object(vec![(
-        "window".to_string(),
-        tfb_json::JsonValue::Array(
-            window
-                .iter()
-                .map(|&v| tfb_json::JsonValue::Number(v))
-                .collect(),
-        ),
-    )])
-    .compact()
+/// One single-model leg: a freshly trained LR artifact behind a fresh
+/// server built from `cfg`, under `/forecast` load.
+fn model_leg(cell: &Cell, cfg: ServerConfig) -> Result<Leg, String> {
+    let model = train_serve_model()?;
+    let request = post("/forecast", &forecast_body(model.dim(), None));
+    let handle = serve(model, cfg).map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+    let leg = drive(cell, &handle, &[request], &[1.0], 1);
+    let _ = handle.shutdown();
+    leg
 }
 
 fn run_serve(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tfb_serve::{serve, CoalescerConfig, ServerConfig};
-
-    // The quality legs ride the serve engine under dedicated workloads;
-    // every other workload value is the plain load leg.
     match cell.workload.as_str() {
         "quality_overhead" => return run_serve_quality_overhead(suite, cell),
         "quality_delay" => return run_serve_quality_delay(suite, cell),
+        "obs_overhead" => return run_serve_obs_overhead(suite, cell),
         _ => {}
     }
     if cell.models > 1 {
         return run_serve_fleet(suite, cell);
     }
-    let mut throughput = Vec::with_capacity(cell.iters);
-    let mut p50_us = Vec::with_capacity(cell.iters);
-    let mut p99_us = Vec::with_capacity(cell.iters);
-    let mut requests = Vec::with_capacity(cell.iters);
-    for _ in 0..cell.iters {
-        let model = train_serve_model()?;
-        let body = forecast_body(model.dim());
-        let request = format!(
-            "POST /forecast HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        let handle = serve(
-            model,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
-        let addr = handle.addr();
-        let stop = AtomicBool::new(false);
-        let mut latencies: Vec<f64> = Vec::new();
-        let t0 = Instant::now();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..cell.clients.max(1))
-                .map(|_| scope.spawn(|| client_loop(addr, &request, &stop)))
-                .collect();
-            std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-            stop.store(true, Ordering::Relaxed);
-            for w in workers {
-                latencies.extend(w.join().map_err(|_| "client thread panicked")??);
-            }
-            Ok(())
-        });
-        let elapsed_s = t0.elapsed().as_secs_f64();
-        let _ = handle.shutdown();
-        result.map_err(|e| format!("{}: {e}", cell.id))?;
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        requests.push(latencies.len() as f64);
-        throughput.push(latencies.len() as f64 / elapsed_s.max(1e-9));
-        p50_us.push(percentile(&latencies, 50.0));
-        p99_us.push(percentile(&latencies, 99.0));
+    let mut cfg = server_config(cell);
+    if cell.workload == "legacy" {
+        // The pre-deadline coalescer, reproduced exactly: one shard and
+        // a fixed 2 ms window regardless of queue age — the live
+        // before/after reference for the deadline-driven sharded close.
+        cfg.coalescer = CoalescerConfig {
+            shards: 1,
+            coalesce_hint: Duration::from_millis(2),
+            budget: Duration::from_millis(2),
+            ..CoalescerConfig::default()
+        };
     }
-    Ok(vec![
-        measurement(suite, cell, "throughput", "req/s", &throughput),
-        measurement(suite, cell, "latency_p50", "us", &p50_us),
-        measurement(suite, cell, "latency_p99", "us", &p99_us),
-        measurement(suite, cell, "requests", "count", &requests),
-    ])
+    let mut samples = Samples::default();
+    for _ in 0..cell.iters {
+        model_leg(cell, cfg.clone())?.record(&mut samples);
+    }
+    Ok(samples.rows(suite, cell))
 }
 
 /// The multi-model leg: publish `cell.models` LR artifacts into a
 /// throwaway registry, serve the whole fleet with `resident_cap`
-/// resident models, and drive zipfian (α = 1.0) routed traffic from
-/// `cell.clients` closed-loop clients. Alongside throughput/latency
-/// this reports the fleet-specific quantities: resident-cache hit rate,
-/// cold-load p99, and eviction count.
+/// resident models, and drive zipfian (α = 1.0) routed traffic.
+/// Alongside the load rows this reports the fleet-specific quantities:
+/// resident-cache hit rate, cold-load p99, and eviction count.
 fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use tfb_registry::fleet::{Fleet, FleetConfig};
     use tfb_registry::Registry;
-    use tfb_serve::{serve_fleet, CoalescerConfig, ServerConfig};
 
     let models = cell.models;
     let dir = std::env::temp_dir().join(format!(
@@ -611,23 +772,12 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
         cell.resident_cap
     };
     let cdf = zipf_cdf(models, 1.0);
-    let body = forecast_body(dim);
-    let requests_by_model: Vec<String> = (0..models)
-        .map(|i| {
-            format!(
-                "POST /v1/forecast/m{i:02} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-                body.len()
-            )
-        })
+    let body = forecast_body(dim, None);
+    let requests: Vec<String> = (0..models)
+        .map(|i| post(&format!("/v1/forecast/m{i:02}"), &body))
         .collect();
 
-    let mut throughput = Vec::with_capacity(cell.iters);
-    let mut p50_us = Vec::with_capacity(cell.iters);
-    let mut p99_us = Vec::with_capacity(cell.iters);
-    let mut requests = Vec::with_capacity(cell.iters);
-    let mut hit_rate = Vec::with_capacity(cell.iters);
-    let mut cold_p99_us = Vec::with_capacity(cell.iters);
-    let mut evictions = Vec::with_capacity(cell.iters);
+    let mut samples = Samples::default();
     for iter in 0..cell.iters {
         // A fresh fleet per iteration: every leg starts cold, so the
         // hit-rate and cold-load numbers measure the same regime.
@@ -636,69 +786,70 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
             Fleet::open(registry, FleetConfig { resident_cap: cap })
                 .map_err(|e| format!("{}: fleet: {e}", cell.id))?,
         );
-        let handle = serve_fleet(
-            Arc::clone(&fleet),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
-        let addr = handle.addr();
-        let stop = AtomicBool::new(false);
-        let mut latencies: Vec<f64> = Vec::new();
-        let t0 = Instant::now();
-        let result: Result<(), String> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..cell.clients.max(1))
-                .map(|c| {
-                    let seed = (iter * 131 + c) as u64 + 1;
-                    let (requests_by_model, cdf) = (&requests_by_model, &cdf);
-                    let stop = &stop;
-                    scope.spawn(move || fleet_client_loop(addr, requests_by_model, cdf, seed, stop))
-                })
-                .collect();
-            std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-            stop.store(true, Ordering::Relaxed);
-            for w in workers {
-                latencies.extend(w.join().map_err(|_| "client thread panicked")??);
-            }
-            Ok(())
-        });
-        let elapsed_s = t0.elapsed().as_secs_f64();
+        let handle = serve_fleet(Arc::clone(&fleet), server_config(cell))
+            .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+        let leg = drive(cell, &handle, &requests, &cdf, (iter * 131) as u64 + 1);
         let _ = handle.shutdown();
-        result.map_err(|e| format!("{}: {e}", cell.id))?;
+        leg?.record(&mut samples);
         let stats = fleet.stats();
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        requests.push(latencies.len() as f64);
-        throughput.push(latencies.len() as f64 / elapsed_s.max(1e-9));
-        p50_us.push(percentile(&latencies, 50.0));
-        p99_us.push(percentile(&latencies, 99.0));
-        hit_rate.push(stats.hit_rate());
-        evictions.push(stats.evictions as f64);
         let mut cold = stats.cold_load_us.clone();
-        cold.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        cold_p99_us.push(if cold.is_empty() {
-            0.0
-        } else {
-            percentile(&cold, 99.0)
-        });
+        cold.sort_by(f64::total_cmp);
+        samples.push("hit_rate", "", stats.hit_rate());
+        samples.push(
+            "cold_load_p99",
+            "us",
+            if cold.is_empty() {
+                0.0
+            } else {
+                percentile(&cold, 99.0)
+            },
+        );
+        samples.push("evictions", "count", stats.evictions as f64);
+        samples.push("models", "count", models as f64);
+        samples.push("resident_cap", "count", cap as f64);
     }
     let _ = std::fs::remove_dir_all(&dir);
-    let models_f = vec![models as f64; cell.iters];
-    Ok(vec![
-        measurement(suite, cell, "throughput", "req/s", &throughput),
-        measurement(suite, cell, "latency_p50", "us", &p50_us),
-        measurement(suite, cell, "latency_p99", "us", &p99_us),
-        measurement(suite, cell, "requests", "count", &requests),
-        measurement(suite, cell, "hit_rate", "", &hit_rate),
-        measurement(suite, cell, "cold_load_p99", "us", &cold_p99_us),
-        measurement(suite, cell, "evictions", "count", &evictions),
-        measurement(suite, cell, "models", "count", &models_f),
-    ])
+    Ok(samples.rows(suite, cell))
+}
+
+/// `workload = "obs_overhead"`: the flight recorder's tax on the serving
+/// hot path. Each iteration runs three single-model legs back to back —
+/// recorder disarmed (every probe one relaxed load), armed (event lines
+/// copied into the per-thread rings), and armed with the sampling
+/// profiler walking span stacks at 97 Hz — so machine drift hits all
+/// three alike. `*_pct` is how much slower than disarmed a leg ran;
+/// negative values are noise.
+fn run_serve_obs_overhead(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
+    use tfb_obs::flight;
+    let root = std::env::temp_dir().join(format!("tfb_obs_overhead_{}", std::process::id()));
+    let mut samples = Samples::default();
+    for _ in 0..cell.iters {
+        flight::set_armed(false);
+        let disarmed = model_leg(cell, server_config(cell))?.throughput();
+        flight::configure(flight::FlightConfig {
+            history_root: Some(root.clone()),
+            context: vec![("command".to_string(), "tfb bench".to_string())],
+            ..Default::default()
+        });
+        flight::set_armed(true);
+        let armed = model_leg(cell, server_config(cell));
+        flight::profiler::start(97);
+        let profiled = model_leg(cell, server_config(cell));
+        flight::profiler::stop();
+        flight::set_armed(false);
+        let (armed, profiled) = (armed?.throughput(), profiled?.throughput());
+        samples.push("throughput_disarmed", "req/s", disarmed);
+        samples.push("throughput_armed", "req/s", armed);
+        samples.push("throughput_profiled", "req/s", profiled);
+        samples.push("armed_pct", "%", 100.0 * (disarmed / armed.max(1e-9) - 1.0));
+        samples.push(
+            "profiled_pct",
+            "%",
+            100.0 * (disarmed / profiled.max(1e-9) - 1.0),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    Ok(samples.rows(suite, cell))
 }
 
 // ---------------------------------------------------------------------
@@ -706,31 +857,6 @@ fn run_serve_fleet(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, St
 // what arming the forecast/actual scoring loop costs on the serving hot
 // path, and how quickly the drift detectors react to a broken model.
 // ---------------------------------------------------------------------
-
-/// `{"window": [...], "series": ..., "t": n}` — a forecast body that
-/// parks the served forecast in the observe buffer.
-fn observed_forecast_body(dim: usize, series: &str, t: u64) -> String {
-    let window: Vec<f64> = (0..SERVE_LOOKBACK * dim)
-        .map(|i| (i as f64) * 0.13 - 2.0)
-        .collect();
-    tfb_json::JsonValue::Object(vec![
-        (
-            "window".to_string(),
-            tfb_json::JsonValue::Array(
-                window
-                    .iter()
-                    .map(|&v| tfb_json::JsonValue::Number(v))
-                    .collect(),
-            ),
-        ),
-        (
-            "series".to_string(),
-            tfb_json::JsonValue::String(series.to_string()),
-        ),
-        ("t".to_string(), tfb_json::JsonValue::Number(t as f64)),
-    ])
-    .compact()
-}
 
 /// POSTs one JSON body on a kept-alive connection; returns the reply
 /// body, erroring on any non-200 status.
@@ -740,13 +866,9 @@ fn post_json(
     path: &str,
     json: &str,
 ) -> Result<String, String> {
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{json}",
-        json.len()
-    );
     let mut line = String::new();
     let mut body = Vec::new();
-    let status = round_trip(writer, reader, &request, &mut line, &mut body)?;
+    let status = round_trip(writer, reader, &post(path, json), &mut line, &mut body)?;
     if status != 200 {
         return Err(format!(
             "{path}: status {status}: {}",
@@ -779,25 +901,20 @@ fn scored_join(
     scale: f64,
     dim: usize,
 ) -> Result<(String, f64), String> {
-    let body = observed_forecast_body(dim, series, t);
+    use tfb_json::JsonValue;
+    let body = forecast_body(dim, Some((series, t)));
     let reply = post_json(writer, reader, "/forecast", &body)?;
     let forecast = forecast_values(&reply)?;
-    let actual = tfb_json::JsonValue::Object(vec![
-        (
-            "name".to_string(),
-            tfb_json::JsonValue::String(model.to_string()),
-        ),
-        (
-            "series".to_string(),
-            tfb_json::JsonValue::String(series.to_string()),
-        ),
-        ("t".to_string(), tfb_json::JsonValue::Number(t as f64)),
+    let actual = JsonValue::Object(vec![
+        ("name".to_string(), JsonValue::from(model)),
+        ("series".to_string(), JsonValue::from(series)),
+        ("t".to_string(), JsonValue::Number(t as f64)),
         (
             "actual".to_string(),
-            tfb_json::JsonValue::Array(
+            JsonValue::Array(
                 forecast
                     .iter()
-                    .map(|&v| tfb_json::JsonValue::Number(v * scale))
+                    .map(|&v| JsonValue::Number(v * scale))
                     .collect(),
             ),
         ),
@@ -814,9 +931,6 @@ fn scored_join(
 /// buffer at its eviction cap). Returns `(req/s, median µs per scored
 /// observe join)` — the join cost is only measured on the armed side.
 fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use tfb_serve::{serve, CoalescerConfig, ObserveConfig, ServerConfig};
-
     const SCORE_JOINS: usize = 64;
     // Fresh rolling windows per leg: the join-cost joins from a prior
     // leg must not leak into this one's drift state.
@@ -824,46 +938,18 @@ fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>)
     let model = train_serve_model()?;
     let method = model.method().to_string();
     let dim = model.dim();
-    let body = observed_forecast_body(dim, "q0", 0);
-    let request = format!(
-        "POST /forecast HTTP/1.1\r\nhost: bench\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let handle = serve(
-        model,
-        ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            coalescer: CoalescerConfig {
-                shards: cell.shards,
-                ..CoalescerConfig::default()
-            },
-            observe: ObserveConfig {
-                enabled,
-                ..ObserveConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
-    let addr = handle.addr();
-    let stop = AtomicBool::new(false);
-    let mut served = 0usize;
-    let t0 = Instant::now();
-    let result: Result<(), String> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..cell.clients.max(1))
-            .map(|_| scope.spawn(|| client_loop(addr, &request, &stop)))
-            .collect();
-        std::thread::sleep(Duration::from_millis(cell.duration_ms.max(50)));
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            served += w.join().map_err(|_| "client thread panicked")??.len();
+    let request = post("/forecast", &forecast_body(dim, Some(("q0", 0))));
+    let mut cfg = server_config(cell);
+    cfg.observe = ObserveConfig {
+        enabled,
+        ..ObserveConfig::default()
+    };
+    let handle = serve(model, cfg).map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+    let result = drive(cell, &handle, &[request], &[1.0], 1).and_then(|leg| {
+        if !enabled {
+            return Ok((leg.throughput(), None));
         }
-        Ok(())
-    });
-    let elapsed_s = t0.elapsed().as_secs_f64();
-    result.map_err(|e| format!("{}: {e}", cell.id))?;
-    let score = if enabled {
-        let (mut writer, mut reader) = connect(addr)?;
+        let (mut writer, mut reader) = connect(handle.addr())?;
         let mut times = Vec::with_capacity(SCORE_JOINS);
         for t in 0..SCORE_JOINS {
             let (reply, us) = scored_join(
@@ -880,14 +966,11 @@ fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>)
             }
             times.push(us);
         }
-        let _ = handle.shutdown();
-        times.sort_by(|a, b| a.total_cmp(b));
-        Some(times[times.len() / 2])
-    } else {
-        let _ = handle.shutdown();
-        None
-    };
-    Ok((served as f64 / elapsed_s.max(1e-9), score))
+        times.sort_by(f64::total_cmp);
+        Ok((leg.throughput(), Some(times[times.len() / 2])))
+    });
+    let _ = handle.shutdown();
+    result
 }
 
 /// `workload = "quality_overhead"`: the same closed-loop forecast load
@@ -896,24 +979,16 @@ fn quality_overhead_leg(cell: &Cell, enabled: bool) -> Result<(f64, Option<f64>)
 /// throughput loss in percent — the quantity the quality loop promises
 /// stays small — and `score` the cost of one full observe join.
 fn run_serve_quality_overhead(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    let mut armed_rps = Vec::with_capacity(cell.iters);
-    let mut disarmed_rps = Vec::with_capacity(cell.iters);
-    let mut overhead_pct = Vec::with_capacity(cell.iters);
-    let mut score_us = Vec::with_capacity(cell.iters);
+    let mut samples = Samples::default();
     for _ in 0..cell.iters {
         let (off, _) = quality_overhead_leg(cell, false)?;
         let (on, score) = quality_overhead_leg(cell, true)?;
-        disarmed_rps.push(off);
-        armed_rps.push(on);
-        overhead_pct.push((off - on) / off.max(1e-9) * 100.0);
-        score_us.push(score.unwrap_or(f64::NAN));
+        samples.push("throughput_armed", "req/s", on);
+        samples.push("throughput_disarmed", "req/s", off);
+        samples.push("overhead", "%", (off - on) / off.max(1e-9) * 100.0);
+        samples.push("score", "us/join", score.unwrap_or(f64::NAN));
     }
-    Ok(vec![
-        measurement(suite, cell, "throughput_armed", "req/s", &armed_rps),
-        measurement(suite, cell, "throughput_disarmed", "req/s", &disarmed_rps),
-        measurement(suite, cell, "overhead", "%", &overhead_pct),
-        measurement(suite, cell, "score", "us/join", &score_us),
-    ])
+    Ok(samples.rows(suite, cell))
 }
 
 /// The `"smape"` field of an observe reply.
@@ -935,8 +1010,6 @@ fn reply_smape(reply: &str) -> f64 {
 /// on a fixed stream, so it is identical across iterations and a
 /// regression in it is a detector change, not noise.
 fn run_serve_quality_delay(suite: &Suite, cell: &Cell) -> Result<Vec<MeasurementRow>, String> {
-    use tfb_serve::{serve, CoalescerConfig, ObserveConfig, ServerConfig};
-
     if !tfb_obs::enabled() {
         return Err(format!(
             "{}: the detection-delay leg reads the drift flag wired through the \
@@ -963,19 +1036,8 @@ fn run_serve_quality_delay(suite: &Suite, cell: &Cell) -> Result<Vec<Measurement
         let model = train_serve_model()?;
         let method = model.method().to_string();
         let dim = model.dim();
-        let handle = serve(
-            model,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                coalescer: CoalescerConfig {
-                    shards: cell.shards,
-                    ..CoalescerConfig::default()
-                },
-                observe: ObserveConfig::default(),
-                ..ServerConfig::default()
-            },
-        )
-        .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
+        let handle = serve(model, server_config(cell))
+            .map_err(|e| format!("{}: serve failed: {e}", cell.id))?;
         let addr = handle.addr();
         let (mut writer, mut reader) = connect(addr)?;
         let mut last_clean = f64::NAN;
@@ -1083,6 +1145,74 @@ iters = 2
         assert_eq!(scalar.unit, "ns");
         let speedup = rows.iter().find(|r| r.quantity == "speedup").unwrap();
         assert_eq!(speedup.unit, "x", "ratios are never time-gated");
+
+        // The whole-call kernels: one call per path per iteration, the
+        // fast path checked against the reference before it is timed.
+        let suite = suite_from(
+            r#"
+name = "math/unit"
+engine = "math"
+[defaults]
+iters = 2
+[[entry]]
+name = "par-gemm-64"
+workload = "par_gemm"
+n = 64
+[[entry]]
+name = "acf-512"
+workload = "acf"
+n = 512
+"#,
+        );
+        for (cell, paths) in suite
+            .cells
+            .iter()
+            .zip([["single", "parallel"], ["direct", "fft"]])
+        {
+            let rows = run_cell(&suite, cell).expect("whole-call kernel runs");
+            for path in paths {
+                let row = rows.iter().find(|r| r.quantity == path).unwrap();
+                assert!(row.min > 0.0 && row.iters == 2, "{}/{path}", cell.id);
+                assert_eq!(row.unit, "ms");
+            }
+            let speedup = rows.iter().find(|r| r.quantity == "speedup").unwrap();
+            assert_eq!(speedup.unit, "x");
+        }
+    }
+
+    #[test]
+    fn sequential_stat_cell_matches_parallel_bit_for_bit() {
+        // `inference = "sequential"` pins the statistical boundaries to
+        // one thread; the parallel default must forecast identically.
+        let suite = suite_from(
+            r#"
+name = "eval/unit"
+engine = "eval"
+[defaults]
+dataset = "ILI"
+method = "Theta"
+horizon = 6
+max_len = 400
+max_windows = 6
+iters = 1
+[[entry]]
+name = "parallel"
+[[entry]]
+name = "sequential"
+inference = "sequential"
+"#,
+        );
+        let parallel = run_cell(&suite, &suite.cells[0]).expect("parallel cell runs");
+        let sequential = run_cell(&suite, &suite.cells[1]).expect("sequential cell runs");
+        for m in EVAL_SCORES {
+            let score = |rows: &[MeasurementRow]| {
+                rows.iter()
+                    .find(|r| r.quantity == m.label())
+                    .map(|r| r.min.to_bits())
+                    .unwrap()
+            };
+            assert_eq!(score(&parallel), score(&sequential), "{}", m.label());
+        }
     }
 
     #[test]
@@ -1131,46 +1261,91 @@ iters = 2
             r#"
 name = "serve/quality"
 engine = "serve"
-[[entry]]
-name = "overhead"
-workload = "quality_overhead"
+[defaults]
 clients = 2
 duration_ms = 60
 iters = 1
 [[entry]]
+name = "overhead"
+workload = "quality_overhead"
+[[entry]]
 name = "detect"
 workload = "quality_delay"
-iters = 1
+[[entry]]
+name = "plain"
+shards = 2
+[[entry]]
+name = "legacy"
+workload = "legacy"
+[[entry]]
+name = "obs"
+workload = "obs_overhead"
 "#,
         );
-        let rows = run_cell(&suite, &suite.cells[0]).expect("overhead leg runs");
-        let by = |q: &str| {
+        let find = |rows: &[MeasurementRow], q: &str| {
             rows.iter()
                 .find(|r| r.quantity == q)
-                .unwrap_or_else(|| panic!("{q}"))
+                .cloned()
+                .unwrap_or_else(|| panic!("no {q} row"))
         };
+        let rows = run_cell(&suite, &suite.cells[0]).expect("overhead leg runs");
+        let by = |q: &str| find(&rows, q);
         assert!(by("throughput_armed").min > 0.0);
         assert!(by("throughput_disarmed").min > 0.0);
         assert_eq!(by("overhead").unit, "%");
         assert_eq!(by("overhead").name, "serve/quality/overhead");
+
+        // The legacy coalescer answers like any load leg; the shed and
+        // steal rows are client- and server-side counts, recorder or not.
+        let legacy = run_cell(&suite, &suite.cells[3]).expect("legacy leg runs");
+        assert!(find(&legacy, "throughput").min > 0.0);
+        assert_eq!(find(&legacy, "latency_p99").unit, "us");
+        assert_eq!(find(&legacy, "shed").unit, "count");
+        assert_eq!(find(&legacy, "steals").min, 0.0, "one shard never steals");
+
+        // Disarmed, armed and profiled flight-recorder legs, interleaved.
+        let obs = run_cell(&suite, &suite.cells[4]).expect("obs-overhead leg runs");
+        for q in [
+            "throughput_disarmed",
+            "throughput_armed",
+            "throughput_profiled",
+        ] {
+            assert!(find(&obs, q).min > 0.0, "{q}");
+        }
+        assert_eq!(find(&obs, "armed_pct").unit, "%");
+        assert_eq!(find(&obs, "profiled_pct").unit, "%");
+
         // The delay leg needs the recorder armed (the drift flag flows
-        // through the quality registry), so it is obs-gated.
+        // through the quality registry), and so do the batch and phase
+        // rows (deltas of the recorder's own histograms): obs-gated.
         #[cfg(feature = "obs")]
         {
             tfb_obs::start_run(tfb_obs::RunOptions::default()).expect("arm recorder");
             assert!(by("score").min > 0.0, "armed leg measures join cost");
             let rows = run_cell(&suite, &suite.cells[1]).expect("delay leg runs");
-            let delay = rows
-                .iter()
-                .find(|r| r.quantity == "detection_delay")
-                .unwrap();
+            let delay = find(&rows, "detection_delay");
             assert_eq!(delay.unit, "joins");
             assert!(delay.min >= 1.0, "a drifted join must precede the trip");
             assert_eq!(delay.min, delay.median, "deterministic replay");
-            let clean = rows.iter().find(|r| r.quantity == "clean_smape").unwrap();
-            let drift = rows.iter().find(|r| r.quantity == "drift_smape").unwrap();
+            let (clean, drift) = (find(&rows, "clean_smape"), find(&rows, "drift_smape"));
             assert!((clean.min - 2.956).abs() < 0.1, "clean sMAPE {}", clean.min);
             assert!((drift.min - 22.22).abs() < 0.3, "drift sMAPE {}", drift.min);
+
+            let plain = run_cell(&suite, &suite.cells[2]).expect("plain leg runs");
+            assert_eq!(find(&plain, "throughput").name, "serve/quality/plain");
+            let (mean, max) = (find(&plain, "batch_mean"), find(&plain, "batch_max"));
+            assert!(mean.min >= 1.0 && max.min >= mean.min, "{mean:?} {max:?}");
+            assert_eq!(max.unit, "rows");
+            for phase in ["parse", "collect", "infer", "write", "total"] {
+                let row = find(&plain, &format!("phase_{phase}_mean"));
+                assert!(row.min > 0.0 && row.unit == "us", "{row:?}");
+            }
+            let total = find(&plain, "phase_total_mean").min;
+            assert!(
+                total <= find(&plain, "latency_p99").min,
+                "server time per request fits inside the client's tail"
+            );
+            tfb_obs::finish_run(&[]);
         }
     }
 

@@ -87,8 +87,8 @@ pub fn measurement(
     }
 }
 
-/// Renders measurement rows as `BENCH_*.json` entries (`<cell>/<quantity>`,
-/// median value) — the BENCH files are a *rendering* of captured
+/// Renders measurement rows as `*.bench.json` entries (`<cell>/<quantity>`,
+/// median value) — the bench files are a *rendering* of captured
 /// measurements, not a separate measurement path.
 pub fn to_bench_entries(rows: &[MeasurementRow]) -> Vec<BenchEntry> {
     rows.iter()

@@ -1,6 +1,6 @@
 //! Dependency-free JSON for the benchmark's three serialization points:
 //! the dataset-repository manifest, the benchmark configuration file, and
-//! the machine-readable benchmark reports (`BENCH_*.json`).
+//! the machine-readable benchmark reports (`*.bench.json`).
 //!
 //! The surface is deliberately small: a [`JsonValue`] tree, a strict
 //! recursive-descent parser, and a pretty printer whose layout matches

@@ -221,20 +221,15 @@ fn main() -> ExitCode {
     }
 
     // --- Flamegraph-style breakdown: aggregate per path, indent by
-    // nesting depth, bar scaled to the largest root. -------------------
+    // nesting depth, bars scaled to the largest shallowest path. -------
     let mut by_path: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for r in &rows {
         let e = by_path.entry(r.path.clone()).or_insert((0, 0));
         e.0 += r.count;
         e.1 += r.total_ns;
     }
-    let max_root = by_path
-        .iter()
-        .filter(|(p, _)| !p.contains('.'))
-        .map(|(_, (_, total))| *total)
-        .max()
-        .unwrap_or(1)
-        .max(1);
+    let max_root =
+        tfb_obs::manifest::bar_scale(by_path.iter().map(|(p, (_, total))| (p.as_str(), *total)));
     // `self` is the exclusive time: a path's total minus its direct
     // children's totals (clamped at zero against overlap from
     // concurrent spans) — where the time was actually spent, not just

@@ -3,8 +3,8 @@
 //! A benchmark's claim to fairness is only as strong as its recorded
 //! provenance: this crate captures *what actually happened* during a run
 //! — per-phase wall time, window counts, kernel call counts, cache
-//! hits, allocation volume, peak RSS — and writes it next to the report
-//! as a JSONL event log plus an end-of-run **manifest**.
+//! hits, peak RSS — and writes it next to the report as a JSONL event
+//! log plus an end-of-run **manifest**.
 //!
 //! Three primitives, all thread-safe and all std-only:
 //!
@@ -55,7 +55,8 @@ pub use record::test_support;
 #[cfg(feature = "record")]
 pub use record::{
     enabled, finish_run, health_event, metrics_snapshot, record_grad_norm, report_metric,
-    start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span, RESERVOIR_CAP,
+    reset_histogram, start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span,
+    RESERVOIR_CAP,
 };
 
 #[cfg(not(feature = "record"))]
@@ -63,11 +64,8 @@ mod noop;
 #[cfg(not(feature = "record"))]
 pub use noop::{
     enabled, finish_run, health_event, metrics_snapshot, record_grad_norm, report_metric,
-    start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span,
+    reset_histogram, start_run, steal_event, Counter, Gauge, Histogram, RunOptions, Span,
 };
-
-#[cfg(feature = "alloc-track")]
-pub mod alloc;
 
 pub use manifest::{
     FlightSummary, HealthKind, HealthSummary, HistSummary, Manifest, MeasurementRow, MetricRow,

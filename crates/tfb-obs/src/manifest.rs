@@ -743,6 +743,24 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The scale a flamegraph-style phase chart is drawn against: the
+/// largest total among the shallowest span paths present (fewest `.`
+/// separators). A span *name* may itself contain a dot — the suite
+/// harness's root is `bench.cell` — so "no dot" cannot identify roots.
+/// Never 0, so a bar's fraction is always defined.
+pub fn bar_scale<'a>(totals: impl IntoIterator<Item = (&'a str, u64)>) -> u64 {
+    let mut best: Option<(usize, u64)> = None;
+    for (path, total) in totals {
+        let depth = path.matches('.').count();
+        best = match best {
+            Some((d, t)) if d < depth => Some((d, t)),
+            Some((d, t)) if d == depth => Some((d, t.max(total))),
+            _ => Some((depth, total)),
+        };
+    }
+    best.map_or(1, |(_, t)| t.max(1))
+}
+
 /// Escapes `s` as a JSON string into `out`.
 pub(crate) fn json_str(out: &mut String, s: &str) {
     out.push('"');
@@ -802,6 +820,26 @@ mod tests {
         assert!(percentile(&[], 50.0).is_nan());
         // Five elements: p50 is the 3rd (nearest rank ceil(2.5) = 3).
         assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0, 5.0], 50.0), 3.0);
+    }
+
+    #[test]
+    fn bar_scale_uses_the_shallowest_depth_present() {
+        // A `tfb run` manifest: single-segment roots, deeper children.
+        let run = [("job", 900), ("job.eval", 800), ("eval", 300)];
+        assert_eq!(bar_scale(run), 900);
+        // A suite manifest: the root span `bench.cell` has a dot in its
+        // name, so no path is dot-free. Its children must still draw
+        // proportionally against it, not against a fallback of 1.
+        let suite = [
+            ("bench.cell", 1_000),
+            ("bench.cell.eval", 600),
+            ("bench.cell.eval.train", 400),
+        ];
+        assert_eq!(bar_scale(suite), 1_000);
+        let fraction = 600.0 / bar_scale(suite) as f64;
+        assert!(fraction < 1.0, "child bars must not render full width");
+        assert_eq!(bar_scale([]), 1, "empty manifests still scale");
+        assert_eq!(bar_scale([("a", 0)]), 1);
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     MetricsSnapshot::default()
 }
 
+/// No-op: there are no histograms to reset in the no-op build.
+#[inline(always)]
+pub fn reset_histogram(_name: &str) {}
+
 /// Zero-sized span guard.
 #[must_use = "a span measures the scope it is bound to; bind it to a variable"]
 pub struct Span;

@@ -463,6 +463,23 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     }
 }
 
+/// Empties every histogram registered under `name` without disarming
+/// the run, so the next [`metrics_snapshot`] summarises only what was
+/// recorded since. Counters and spans are deltas by subtraction; a
+/// histogram's max is not, so this is how a benchmark leg reads the
+/// largest value of its own window. The run's manifest then holds that
+/// histogram's samples since the last reset only.
+pub fn reset_histogram(name: &str) {
+    for h in HISTOGRAMS
+        .lock()
+        .expect("histogram registry poisoned")
+        .iter()
+        .filter(|h| h.name == name)
+    {
+        h.samples.lock().expect("histogram poisoned").reset();
+    }
+}
+
 /// Reports one per-cell accuracy metric (MAE, MSE, …) into the manifest's
 /// `metrics` table. Last write for a given (dataset, method, horizon,
 /// name) key wins. Outside a run: one relaxed load, nothing else.

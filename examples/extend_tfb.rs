@@ -45,7 +45,7 @@ impl StatForecaster for MeanReversion {
 }
 
 /// A custom metric: fraction of steps where the forecast got the *direction*
-/// of change wrong (a trading-style criterion none of the eight built-ins
+/// of change wrong (a trading-style measure none of the eight built-ins
 /// capture).
 fn direction_error(forecast: &[f64], actual: &[f64]) -> f64 {
     let wrong = forecast

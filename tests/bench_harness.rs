@@ -74,10 +74,18 @@ fn run_tiny(dir: &Path, hist: &Path, out_tag: &str) -> PathBuf {
     out_dir
 }
 
+/// The `tfb bench ls` line listing `suite`.
+fn line_of<'a>(ls: &'a str, suite: &str) -> &'a str {
+    ls.lines()
+        .find(|l| l.split_whitespace().next() == Some(suite))
+        .unwrap_or_else(|| panic!("no {suite} line in:\n{ls}"))
+}
+
 #[test]
 fn bench_ls_discovers_the_repo_suites() {
     // The real suite directory shipped in the repo, not a fixture: `ls`
-    // must see at least the five suites the paper tables ride on.
+    // must see the suites the paper tables ride on and every suite CI
+    // reads its benchmark assertions from.
     let suites = Path::new(env!("CARGO_MANIFEST_DIR")).join("benches/suites");
     let out = tfb(&["bench", "ls", "--suites", suites.to_str().unwrap()]);
     assert!(
@@ -88,10 +96,14 @@ fn bench_ls_discovers_the_repo_suites() {
     let text = String::from_utf8_lossy(&out.stdout);
     for suite in [
         "eval/ci-smoke",
+        "eval/engine-grid",
         "eval/etth1",
         "eval/table6",
         "eval/table7",
         "math/kernels",
+        "serve/fleet",
+        "serve/load",
+        "serve/quality",
         "serve/smoke",
     ] {
         assert!(
@@ -100,9 +112,20 @@ fn bench_ls_discovers_the_repo_suites() {
         );
     }
     assert!(
-        text.lines().count() >= 6,
+        text.lines().count() >= 10,
         "fewer suites than expected:\n{text}"
     );
+    // The cells behind those assertions: the statistical
+    // sequential/parallel pairs, the whole-call kernels, the recorder
+    // overhead leg and the legacy coalescer.
+    let engine_grid = line_of(&text, "eval/engine-grid");
+    assert!(engine_grid.contains(" 14  "), "{engine_grid}");
+    let kernels = line_of(&text, "math/kernels");
+    assert!(kernels.contains(" 23  "), "{kernels}");
+    let load = line_of(&text, "serve/load");
+    assert!(load.contains(" 2  "), "{load}");
+    let smoke = line_of(&text, "serve/smoke");
+    assert!(smoke.contains(" 4  "), "{smoke}");
 }
 
 #[test]
